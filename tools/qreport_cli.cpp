@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_common.h"
 #include "internet/population.h"
 #include "netsim/address.h"
 #include "quic/version.h"
@@ -104,7 +105,7 @@ std::vector<std::string> split_space(const std::string& text) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::vector<std::string> qscan_files, zmap_files, dns_files;
   std::string dns_list = "dns";
   std::string out_dir;
@@ -129,7 +130,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--diff-all") {
       diff_all = true;
     } else if (arg == "--tail-as" && i + 1 < argc) {
-      tail_as = std::atoi(argv[++i]);
+      tail_as = cli::parse_int("--tail-as", argv[++i], 0);
     } else {
       usage();
       return 2;
@@ -137,10 +138,6 @@ int main(int argc, char** argv) {
   }
   if (qscan_files.empty() && zmap_files.empty() && dns_files.empty()) {
     usage();
-    return 2;
-  }
-  if (tail_as < 0) {
-    std::fprintf(stderr, "--tail-as must be >= 0\n");
     return 2;
   }
 
@@ -233,14 +230,7 @@ int main(int argc, char** argv) {
   report::RenderOptions render;
   render.as_registry = &registry;
 
-  if (!out_dir.empty()) {
-    try {
-      report::write_report_dir(out_dir, merged, render);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "cannot write report: %s\n", e.what());
-      return 2;
-    }
-  }
+  if (!out_dir.empty()) report::write_report_dir(out_dir, merged, render);
 
   if (!baseline_file.empty()) {
     std::string baseline;
@@ -269,4 +259,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(merged.rows()),
                merged.distinct_addresses());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

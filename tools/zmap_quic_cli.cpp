@@ -2,131 +2,45 @@
 // against a synthetic-internet snapshot. Mirrors the published module's
 // ergonomics: sweep, forced version negotiation, CSV output.
 //
-//   zmap_quic_cli [--week N] [--no-padding] [--pps N]
-//                 [--blocklist CIDR[,CIDR...]] [--ipv6] [--csv]
-//                 [--jobs N] [--schedule static|dynamic] [--chunk-size N]
-//                 [--seed N] [--qlog DIR] [--metrics FILE]
-//                 [--sched-metrics FILE] [--impair PROFILE]
-//                 [--adversary PROFILE] [--retries N]
-//                 [--report DIR]
+//   zmap_quic_cli [--no-padding] [--pps N] [--blocklist CIDR[,CIDR...]]
+//                 [--ipv6] [--csv] [campaign flags, see cli_common.h]
 //
-// --jobs N runs the sweep on N worker threads, like the real ZMap's
-// sender shards; the merged responder list and metrics are identical
-// for every N (see DESIGN.md "Sharded campaign engine" / "Dynamic
-// chunk scheduler"). --jobs 0 auto-detects the machine's hardware
-// concurrency. --schedule picks `dynamic` (default: fixed-size chunks
-// stolen off a shared cursor, size via --chunk-size) or `static` (one
-// balanced shard per worker, the pre-chunk behaviour).
-// --qlog writes one JSON-Lines trace per slice (the module is
-// stateless, so each slice's probes and VN responses share one file);
-// --metrics dumps the merged counters as JSON on exit; --sched-metrics
-// writes the non-deterministic wall-clock scheduler telemetry
-// separately.
-// --impair overlays a named fault-fabric profile (clean, lossy,
-// bursty, hostile, throttled) on every server link; --adversary
-// overlays a named misbehaving-endpoint profile (compliant, sloppy,
-// broken, malicious) on every server host; --retries N
-// re-probes non-responders in up to N extra sweep rounds. --report
-// streams every responder through an in-shard
-// report::ReportAccumulator and writes DIR/report.{json,md} from the
-// shard-order fold (jobs-invariant; version sets and the
-// version-support matrix, Figures 5/6).
+// --no-padding sends unpadded probes instead of 1200-byte ones; --pps
+// caps the probe rate (decimal, 0 = unlimited); --blocklist skips the
+// listed prefixes; --ipv6 sweeps the IPv6 hitlist instead of the IPv4
+// candidate space; --csv prints saddr,versions rows. --jobs N mirrors
+// the real ZMap's sender shards. --qlog writes one trace per slice
+// (the module is stateless, so a slice's probes and VN responses share
+// one file); --retries N re-probes non-responders in up to N extra
+// sweep rounds; --report covers version sets and the version-support
+// matrix (Figures 5/6).
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 
-#include "crypto/cpu.h"
+#include "cli_common.h"
 #include "engine/engine.h"
 #include "internet/internet.h"
-#include "netsim/impairment.h"
 #include "report/report.h"
 #include "scanner/zmap.h"
-#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
-namespace {
-
-void usage() {
-  std::fprintf(stderr,
-               "usage: zmap_quic_cli [--week N] [--no-padding] [--pps N]\n"
-               "                     [--blocklist CIDR[,CIDR...]] [--ipv6]\n"
-               "                     [--csv] [--jobs N]\n"
-               "                     [--schedule static|dynamic]\n"
-               "                     [--chunk-size N] [--seed N]\n"
-               "                     [--qlog DIR] [--metrics FILE]\n"
-               "                     [--sched-metrics FILE]\n"
-               "                     [--impair PROFILE]\n"
-               "                     [--adversary PROFILE] [--retries N]\n"
-               "                     [--report DIR]\n"
-               "                     [--crypto-backend NAME]\n");
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  int week = 18;
+int main(int argc, char** argv) try {
+  cli::CampaignFlags flags;
+  flags.seed = 0x2a9a;
   bool padding = true;
   bool ipv6 = false;
   bool csv = false;
   uint64_t pps = 15'000;
   scanner::Blocklist blocklist;
-  int jobs = 1;
-  engine::Schedule schedule = engine::Schedule::kDynamic;
-  size_t chunk_size = 0;
-  uint64_t seed = 0x2a9a;
-  std::string qlog_dir;
-  std::string metrics_file;
-  std::string sched_metrics_file;
-  std::string impair;
-  std::string adversary;
-  int retries = 0;
-  std::string report_dir;
 
   for (int i = 1; i < argc; ++i) {
+    if (cli::parse_campaign_flag(argc, argv, i, flags)) continue;
     std::string arg = argv[i];
-    if (arg == "--week" && i + 1 < argc) {
-      week = std::atoi(argv[++i]);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (arg == "--schedule" && i + 1 < argc) {
-      try {
-        schedule = engine::parse_schedule(argv[++i]);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "--schedule: %s\n", e.what());
-        return 2;
-      }
-    } else if (arg == "--crypto-backend" && i + 1 < argc) {
-      try {
-        crypto::set_backend_override(crypto::parse_backend(argv[++i]));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "--crypto-backend: %s\n", e.what());
-        return 2;
-      }
-    } else if (arg == "--chunk-size" && i + 1 < argc) {
-      chunk_size = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--qlog" && i + 1 < argc) {
-      qlog_dir = argv[++i];
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      metrics_file = argv[++i];
-    } else if (arg == "--sched-metrics" && i + 1 < argc) {
-      sched_metrics_file = argv[++i];
-    } else if (arg == "--impair" && i + 1 < argc) {
-      impair = argv[++i];
-    } else if (arg == "--adversary" && i + 1 < argc) {
-      adversary = argv[++i];
-    } else if (arg == "--retries" && i + 1 < argc) {
-      retries = std::atoi(argv[++i]);
-    } else if (arg == "--report" && i + 1 < argc) {
-      report_dir = argv[++i];
-    } else if (arg == "--no-padding") {
+    if (arg == "--no-padding") {
       padding = false;
     } else if (arg == "--pps" && i + 1 < argc) {
-      pps = std::strtoull(argv[++i], nullptr, 10);
+      pps = cli::parse_unsigned("--pps", argv[++i]);
     } else if (arg == "--ipv6") {
       ipv6 = true;
     } else if (arg == "--csv") {
@@ -148,68 +62,16 @@ int main(int argc, char** argv) {
         pos = comma + 1;
       }
     } else {
-      usage();
+      cli::print_usage(
+          "zmap_quic_cli [--no-padding] [--pps N] "
+          "[--blocklist CIDR[,CIDR...]] [--ipv6] [--csv]");
       return 2;
     }
   }
-  if (!impair.empty() && !netsim::find_impairment_profile(impair)) {
-    std::fprintf(stderr, "--impair: unknown impairment profile '%s' (known:",
-                 impair.c_str());
-    for (auto known : netsim::impairment_profile_names())
-      std::fprintf(stderr, " %.*s", static_cast<int>(known.size()),
-                   known.data());
-    std::fprintf(stderr, ")\n");
-    return 2;
-  }
-  if (!adversary.empty() && !internet::find_adversary_profile(adversary)) {
-    std::fprintf(stderr, "--adversary: unknown adversary profile '%s' (known:",
-                 adversary.c_str());
-    for (auto known : internet::adversary_profile_names())
-      std::fprintf(stderr, " %.*s", static_cast<int>(known.size()),
-                   known.data());
-    std::fprintf(stderr, ")\n");
-    return 2;
-  }
-  if (retries < 0) {
-    std::fprintf(stderr, "--retries must be >= 0\n");
-    return 2;
-  }
-  if (jobs < 0) {
-    std::fprintf(stderr, "--jobs must be >= 0 (0 = auto-detect)\n");
-    return 2;
-  }
-  if (jobs == 0) {
-    // hardware_concurrency() may report 0 on exotic platforms; fall
-    // back to the serial path rather than refusing to run.
-    unsigned detected = std::thread::hardware_concurrency();
-    jobs = detected > 0 ? static_cast<int>(detected) : 1;
-    std::fprintf(stderr, "--jobs 0: auto-detected %d worker thread%s\n",
-                 jobs, jobs == 1 ? "" : "s");
-  }
-  if (!qlog_dir.empty()) {
-    // Validate the qlog root up front, on the calling thread, so a bad
-    // path fails with a clear message before any shard work starts.
-    try {
-      telemetry::QlogDir probe(qlog_dir);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "cannot create qlog dir %s: %s\n",
-                   qlog_dir.c_str(), e.what());
-      return 2;
-    }
-  }
+  cli::resolve_campaign_flags(flags);
 
-  engine::CampaignOptions campaign_options;
-  campaign_options.jobs = jobs;
-  campaign_options.schedule = schedule;
-  campaign_options.chunk_size = chunk_size;
-  campaign_options.seed = seed;
-  campaign_options.week = week;
-  campaign_options.population = {.dns_corpus_scale = 0.01};
-  campaign_options.snapshot = std::make_shared<const internet::Snapshot>(
-      campaign_options.population, week);
-  campaign_options.qlog_dir = qlog_dir;
-  campaign_options.impairment = impair;
-  campaign_options.adversary = adversary;
+  const auto campaign_options =
+      cli::campaign_options(flags, {.dns_corpus_scale = 0.01});
   engine::Campaign campaign(campaign_options);
 
   // The sweep space comes from a planning world over the same shared
@@ -223,43 +85,38 @@ int main(int argc, char** argv) {
   std::vector<std::vector<scanner::ZmapHit>> shard_hits(slots);
   std::vector<scanner::ZmapStats> shard_stats(slots);
 
-  const bool want_report = !report_dir.empty();
+  const bool want_report = !flags.report_dir.empty();
   engine::ShardFold<report::ReportAccumulator> report_fold(
       slots, [] { return report::ReportAccumulator("zmap"); });
 
-  try {
-    campaign.run(targets.size(), [&](engine::ShardEnv& env) {
-      std::unique_ptr<telemetry::TraceSink> sweep_trace;
-      if (env.trace_factory) sweep_trace = env.trace_factory("zmap_sweep");
+  campaign.run(targets.size(), [&](engine::ShardEnv& env) {
+    std::unique_ptr<telemetry::TraceSink> sweep_trace;
+    if (env.trace_factory) sweep_trace = env.trace_factory("zmap_sweep");
 
-      scanner::ZmapOptions options;
-      options.pad_to_1200 = padding;
-      options.packets_per_second = pps;
-      options.blocklist = blocklist;
-      options.seed = env.seed;
-      options.metrics = env.metrics;
-      options.trace_sink = sweep_trace.get();
-      options.probe_rounds = 1 + retries;
-      scanner::ZmapQuicScanner zmap(env.internet->network(),
-                                    std::move(options));
-      shard_hits[static_cast<size_t>(env.shard_index)] =
-          zmap.scan(std::span<const netsim::IpAddress>(
-              targets.data() + env.range.begin, env.range.size()));
-      shard_stats[static_cast<size_t>(env.shard_index)] = zmap.stats();
-      if (want_report) {
-        auto& acc = report_fold.slot(env.shard_index);
-        acc.attach_metrics(env.metrics);
-        const auto& registry = env.internet->population().as_registry();
-        for (const auto& hit :
-             shard_hits[static_cast<size_t>(env.shard_index)])
-          acc.add_zmap_hit(hit.address.to_string(), hit.versions,
-                           registry.asn_for(hit.address));
-      }
-    });
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "campaign failed: %s\n", e.what());
-    return 2;
-  }
+    scanner::ZmapOptions options;
+    options.pad_to_1200 = padding;
+    options.packets_per_second = pps;
+    options.blocklist = blocklist;
+    options.seed = env.seed;
+    options.metrics = env.metrics;
+    options.trace_sink = sweep_trace.get();
+    options.probe_rounds = 1 + flags.retries;
+    scanner::ZmapQuicScanner zmap(env.internet->network(),
+                                  std::move(options));
+    shard_hits[static_cast<size_t>(env.shard_index)] =
+        zmap.scan(std::span<const netsim::IpAddress>(
+            targets.data() + env.range.begin, env.range.size()));
+    shard_stats[static_cast<size_t>(env.shard_index)] = zmap.stats();
+    if (want_report) {
+      auto& acc = report_fold.slot(env.shard_index);
+      acc.attach_metrics(env.metrics);
+      const auto& registry = env.internet->population().as_registry();
+      for (const auto& hit :
+           shard_hits[static_cast<size_t>(env.shard_index)])
+        acc.add_zmap_hit(hit.address.to_string(), hit.versions,
+                         registry.asn_for(hit.address));
+    }
+  });
 
   // Each shard's hit list is address-ordered and shard target sets are
   // disjoint, so the merge reproduces the serial sweep's order.
@@ -296,14 +153,8 @@ int main(int argc, char** argv) {
                   quic::version_set_name(hit.versions).c_str());
     }
   }
-  if (want_report) {
-    try {
-      report::write_report_dir(report_dir, report_fold.merged());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "cannot write report: %s\n", e.what());
-      return 2;
-    }
-  }
+  if (want_report)
+    report::write_report_dir(flags.report_dir, report_fold.merged());
   std::fprintf(stderr,
                "# probed %llu targets (%llu blocked), %llu probes / %llu "
                "bytes sent, %zu responders\n",
@@ -312,40 +163,10 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(stats.probes_sent),
                static_cast<unsigned long long>(stats.bytes_sent),
                hits.size());
-  std::fprintf(stderr,
-               "# schedule %s: %zu slice%s, %d worker%s, straggler ratio "
-               "%.2f\n",
-               engine::schedule_name(schedule), campaign.ranges().size(),
-               campaign.ranges().size() == 1 ? "" : "s", jobs,
-               jobs == 1 ? "" : "s", campaign.straggler_ratio());
-  std::fprintf(stderr, "# crypto backend: %s\n",
-               crypto::backend_name(crypto::resolve_backend()));
-
-  if (!metrics_file.empty()) {
-    std::ofstream out(metrics_file);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", metrics_file.c_str());
-      return 2;
-    }
-    campaign.metrics().write_json(out);
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "error writing %s\n", metrics_file.c_str());
-      return 2;
-    }
-  }
-  if (!sched_metrics_file.empty()) {
-    std::ofstream out(sched_metrics_file);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", sched_metrics_file.c_str());
-      return 2;
-    }
-    campaign.scheduler_metrics().write_json(out);
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "error writing %s\n", sched_metrics_file.c_str());
-      return 2;
-    }
-  }
+  cli::print_campaign_summary(flags, campaign);
+  cli::write_metrics_files(flags, campaign);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }
