@@ -17,12 +17,24 @@
 // Worker slices are lock-free and independent, so throughput scales
 // with physical cores; on a single-core host every speedup column
 // reads ~1.0x and only the straggler ratios remain meaningful.
-// hardware_concurrency is recorded in the JSON and the dynamic>=1.2x
-// static acceptance gate is enforced only when cores > 1 -- a 1-core
-// container serializes the workers, so the ratio there measures the
-// scheduler's overhead, not its benefit. The run also re-checks the
+//
+// The dynamic >= 1.2x static acceptance gate is enforced only when the
+// CPUs this process may run on (its affinity set, as nproc counts
+// them) number at least the hostile section's 8 workers. With c CPUs,
+// total work T and static shard imbalance r (max/mean shard cost),
+// static's 8 threads time-share the c CPUs, so its wall time is about
+// max(T/c, r*T/8); no schedule beats T/c. Hence dynamic/static <=
+// max(1, r*c/8): with r ~1.1-1.5 the bound is 1.0 at c = 4 and below,
+// and the ratio there measures time-slicing noise and scheduler
+// overhead, not the scheduler's benefit. Both the CPU count and the
+// gate's state are recorded in the JSON. The run also re-checks the
 // determinism contract: every jobs value and both schedules must agree
 // on attempts and Table 3 outcome counts, or the bench aborts.
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -43,6 +55,19 @@ constexpr uint64_t kSeed = 0x5ca9;
 constexpr int kWeek = 18;
 constexpr size_t kTargets = 10'000;
 constexpr internet::PopulationParams kPopulation{.dns_corpus_scale = 0.01};
+constexpr int kHostileJobs = 8;
+
+/// Logical CPUs this process may run on: the affinity set where the
+/// platform exposes one, else the hardware thread count.
+unsigned usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0 && CPU_COUNT(&set) > 0)
+    return static_cast<unsigned>(CPU_COUNT(&set));
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 struct RunResult {
   int jobs = 1;
@@ -127,6 +152,7 @@ RunResult run_campaign(const std::vector<scanner::QscanTarget>& targets,
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_engine.json";
   const unsigned cores = std::thread::hardware_concurrency();
+  const unsigned cpus = usable_cpus();
 
   netsim::EventLoop planning_loop;
   internet::Internet planning(shared_snapshot(), planning_loop);
@@ -141,8 +167,8 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < kTargets; ++i)
     targets.push_back(base[i % base.size()]);
 
-  std::printf("micro_engine: %zu targets, %u hardware threads\n",
-              targets.size(), cores);
+  std::printf("micro_engine: %zu targets, %u hardware threads, %u usable\n",
+              targets.size(), cores, cpus);
 
   // Section 1: clean-fabric scaling sweep under the dynamic default.
   std::vector<RunResult> results;
@@ -158,11 +184,11 @@ int main(int argc, char** argv) {
   // Section 2: hostile profile at --jobs 8, static vs dynamic. The
   // impaired campaign is where per-target cost skews and the static
   // partition leaves workers idle behind stragglers.
-  std::printf("  hostile profile, jobs=8:\n");
-  auto hostile_static = run_campaign(targets, 8, engine::Schedule::kStatic,
-                                     "hostile");
-  auto hostile_dynamic = run_campaign(targets, 8, engine::Schedule::kDynamic,
-                                      "hostile");
+  std::printf("  hostile profile, jobs=%d:\n", kHostileJobs);
+  auto hostile_static = run_campaign(targets, kHostileJobs,
+                                     engine::Schedule::kStatic, "hostile");
+  auto hostile_dynamic = run_campaign(targets, kHostileJobs,
+                                      engine::Schedule::kDynamic, "hostile");
   for (const auto* r : {&hostile_static, &hostile_dynamic})
     std::printf("    %-7s %8.1f ms  %9.0f targets/s  straggler %.2f\n",
                 engine::schedule_name(r->schedule), r->wall_ms,
@@ -191,10 +217,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Acceptance gate (multi-core only): dynamic must beat static by
-  // >= 1.2x on the hostile campaign. On one core the workers
-  // serialize and both schedules run the same total work.
-  const bool gate = cores > 1;
+  // Acceptance gate: dynamic must beat static by >= 1.2x on the
+  // hostile campaign, wherever each static shard has a CPU of its own.
+  // With fewer CPUs than workers the threads time-share the CPUs and
+  // no schedule can beat static by more than max(1, r*c/8) (see the
+  // header), so the gate would measure the OS scheduler, not ours.
+  const bool gate = cpus >= static_cast<unsigned>(kHostileJobs);
   if (gate && dynamic_over_static < 1.2) {
     std::fprintf(stderr,
                  "FATAL: hostile dynamic/static = %.2fx, need >= 1.2x\n",
@@ -212,6 +240,7 @@ int main(int argc, char** argv) {
       << "  \"targets\": " << targets.size() << ",\n"
       << "  \"attempts\": " << results.front().attempts << ",\n"
       << "  \"hardware_concurrency\": " << cores << ",\n"
+      << "  \"usable_cpus\": " << cpus << ",\n"
       << "  \"schedule\": \"dynamic\",\n"
       << "  \"note\": \"worker slices are lock-free and independent; "
          "wall-clock speedup tracks physical cores (a 1-core host "
@@ -227,7 +256,7 @@ int main(int argc, char** argv) {
                   i + 1 < results.size() ? "," : "");
     out << line;
   }
-  out << "  ],\n  \"hostile_jobs8\": {\n";
+  out << "  ],\n  \"hostile_jobs" << kHostileJobs << "\": {\n";
   for (const auto* r : {&hostile_static, &hostile_dynamic}) {
     std::snprintf(line, sizeof line,
                   "    \"%s\": {\"wall_ms\": %.1f, \"targets_per_sec\": "
@@ -236,11 +265,16 @@ int main(int argc, char** argv) {
                   r->targets_per_sec, r->straggler);
     out << line;
   }
+  char gate_state[64];
+  if (gate)
+    std::snprintf(gate_state, sizeof gate_state, "enforced (>= 1.2x)");
+  else
+    std::snprintf(gate_state, sizeof gate_state,
+                  "skipped (%u CPUs < %d workers)", cpus, kHostileJobs);
   std::snprintf(line, sizeof line,
                 "    \"dynamic_over_static\": %.3f,\n"
                 "    \"perf_gate\": \"%s\"\n  }\n}\n",
-                dynamic_over_static,
-                gate ? "enforced (>= 1.2x)" : "skipped (1 core)");
+                dynamic_over_static, gate_state);
   out << line;
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

@@ -57,24 +57,31 @@ Internet::Internet(std::shared_ptr<const Snapshot> snapshot,
                    netsim::EventLoop& loop)
     : loop_(loop),
       snapshot_(std::move(snapshot)),
-      network_(loop, snapshot_->params().seed ^ 0x105e) {
-  register_hosts();
+      network_(loop, snapshot_->params().seed ^ 0x105e),
+      host_rng_(snapshot_->population().week() * 7919 + 0x9000) {
+  network_.set_contact_hook(
+      [this](const netsim::IpAddress& addr) { host_for(addr); });
 }
 
-void Internet::register_hosts() {
-  const Population& population = snapshot_->population();
-  crypto::Rng rng(population.week() * 7919 + 0x9000);
-  server_hosts_.reserve(population.hosts().size());
-  for (const auto& profile : population.hosts()) {
-    auto host = std::make_unique<ServerHost>(
-        population, profile, rng.fork(profile.address.to_string()));
-    netsim::Endpoint endpoint{profile.address, kQuicPort};
-    if (profile.quic_enabled() && !profile.udp_filtered)
-      network_.add_udp_service(endpoint, host.get());
-    if (profile.tcp443_open) network_.add_tcp_service(endpoint, host.get());
-    host_map_.emplace(profile.address, host.get());
-    server_hosts_.push_back(std::move(host));
-  }
+const ServerHost* Internet::host_for(const netsim::IpAddress& addr) {
+  if (auto it = hosts_.find(addr); it != hosts_.end()) return it->second.get();
+  const HostProfile* profile = population().host_by_address(addr);
+  if (!profile) return nullptr;
+  // fork() reads the parent without advancing it, so a host's stream
+  // depends on its address alone, never on which host came first.
+  ServerHost* host =
+      hosts_
+          .emplace(addr, std::make_unique<ServerHost>(
+                             population(), *profile,
+                             host_rng_.fork(addr.to_string())))
+          .first->second.get();
+  netsim::Endpoint endpoint{addr, kQuicPort};
+  if (profile->quic_enabled() && !profile->udp_filtered)
+    network_.add_udp_service(endpoint, host);
+  if (profile->tcp443_open) network_.add_tcp_service(endpoint, host);
+  if (impairment_) overlay_impairment(*host);
+  if (adversary_) host->set_adversary(adversary_->plan_for(addr));
+  return host;
 }
 
 std::vector<netsim::IpAddress> Internet::zmap_candidates_v4(
@@ -122,27 +129,25 @@ std::vector<std::string> Internet::list_corpus(
   throw std::invalid_argument("unknown list " + list_name);
 }
 
-const ServerHost* Internet::host_for(const netsim::IpAddress& addr) const {
-  auto it = host_map_.find(addr);
-  return it == host_map_.end() ? nullptr : it->second;
+void Internet::overlay_impairment(ServerHost& host) {
+  const auto& addr = host.profile().address;
+  netsim::LinkProperties props = network_.link(addr);
+  impairment_->apply(props);
+  network_.set_link(addr, props);
+  host.set_max_crypto_chunk(impairment_->max_crypto_chunk);
 }
 
 void Internet::apply_impairment(const netsim::ImpairmentProfile& profile) {
   if (profile.is_clean()) return;  // exact no-op: no link entries created
-  for (auto& host : server_hosts_) {
-    const auto& addr = host->profile().address;
-    netsim::LinkProperties props = network_.link(addr);
-    profile.apply(props);
-    network_.set_link(addr, props);
-    host->set_max_crypto_chunk(profile.max_crypto_chunk);
-  }
+  impairment_ = profile;
+  for (auto& [addr, host] : hosts_) overlay_impairment(*host);
 }
 
 void Internet::apply_adversary(const AdversaryProfile& profile) {
   if (profile.is_compliant()) return;  // exact no-op: behaviors untouched
-  AdversaryModel model(profile, snapshot_->params().seed ^ 0xad7e);
-  for (auto& host : server_hosts_)
-    host->set_adversary(model.plan_for(host->profile().address));
+  adversary_.emplace(profile, snapshot_->params().seed ^ 0xad7e);
+  for (auto& [addr, host] : hosts_)
+    host->set_adversary(adversary_->plan_for(addr));
 }
 
 }  // namespace internet

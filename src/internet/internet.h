@@ -1,13 +1,16 @@
-// The Internet facade: builds the population for a week, registers
-// every host on the simulated network fabric (UDP/443 + TCP/443),
-// builds the authoritative DNS zones (A/AAAA/HTTPS), and exposes the
-// scan inputs the paper's tooling consumed -- the IPv4 sweep space, the
-// IPv6 hitlist, and the domain corpora.
+// The Internet facade: builds the population for a week, puts its
+// hosts on the simulated network fabric (UDP/443 + TCP/443) as traffic
+// first reaches them, builds the authoritative DNS zones (A/AAAA/HTTPS),
+// and exposes the scan inputs the paper's tooling consumed -- the IPv4
+// sweep space, the IPv6 hitlist, and the domain corpora.
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
+#include "crypto/rng.h"
 #include "dns/resolver.h"
 #include "internet/adversary.h"
 #include "internet/host.h"
@@ -28,7 +31,7 @@ inline constexpr uint16_t kTlsPort = 443;
 /// number of Internet worlds. The campaign engine builds a single
 /// Snapshot per campaign and hands it to every shard/chunk world,
 /// which keeps the per-world cost down to the genuinely mutable state
-/// (network fabric, server hosts).
+/// (network fabric, the server hosts the slice actually reaches).
 class Snapshot {
  public:
   Snapshot(const PopulationParams& params, int week);
@@ -53,7 +56,19 @@ class Internet {
   /// World over a shared immutable snapshot. Only the mutable state
   /// (network fabric, server hosts) is built per world; the snapshot
   /// may be shared with other worlds on other threads.
+  ///
+  /// Server hosts are built lazily: a host's ServerHost, its services
+  /// and its overlays come into being when the first datagram, TCP
+  /// connect, TCP probe or set_link reaches its address (or host_for
+  /// asks for it). Each host's RNG is forked from one fixed parent by
+  /// address, so the order in which hosts are reached changes no byte
+  /// of output; a world that never touches the fabric (a DNS scan)
+  /// builds no host at all.
   Internet(std::shared_ptr<const Snapshot> snapshot, netsim::EventLoop& loop);
+
+  // The fabric's contact hook points back at this world.
+  Internet(const Internet&) = delete;
+  Internet& operator=(const Internet&) = delete;
 
   netsim::Network& network() { return network_; }
   const Population& population() const { return snapshot_->population(); }
@@ -75,31 +90,39 @@ class Internet {
   /// synthetic non-QUIC bulk), ready for the DNS scanner.
   std::vector<std::string> list_corpus(const std::string& list_name) const;
 
-  const ServerHost* host_for(const netsim::IpAddress& addr) const;
+  /// The server host at `addr`, built now if nothing has reached it
+  /// yet; nullptr only for addresses outside the population.
+  const ServerHost* host_for(const netsim::IpAddress& addr);
 
-  /// Overlays `profile` onto every registered host's link (both
-  /// directions of its traffic pass the impairment pipeline) and, when
-  /// the profile asks for it, switches the hosts to split handshake
-  /// flights. A clean profile is an exact no-op, so `--impair clean`
-  /// is byte-identical to no flag.
+  /// Server hosts built so far in this world.
+  size_t hosts_built() const { return hosts_.size(); }
+
+  /// Overlays `profile` onto every host's link (both directions of its
+  /// traffic pass the impairment pipeline) and, when the profile asks
+  /// for it, switches the hosts to split handshake flights. Hosts built
+  /// later get the overlay as they are built. A clean profile is an
+  /// exact no-op, so `--impair clean` is byte-identical to no flag.
   void apply_impairment(const netsim::ImpairmentProfile& profile);
 
-  /// Overlays `profile` onto every registered host as a deterministic
-  /// per-host AdversaryPlan (stateless hash of the population seed and
-  /// the host address -- see internet/adversary.h). The `compliant`
-  /// profile is an exact no-op, so `--adversary compliant` is
-  /// byte-identical to no flag.
+  /// Overlays `profile` onto every host as a deterministic per-host
+  /// AdversaryPlan (stateless hash of the population seed and the host
+  /// address -- see internet/adversary.h); hosts built later get their
+  /// plan as they are built. The `compliant` profile is an exact no-op,
+  /// so `--adversary compliant` is byte-identical to no flag.
   void apply_adversary(const AdversaryProfile& profile);
 
  private:
-  void register_hosts();
+  void overlay_impairment(ServerHost& host);
 
   netsim::EventLoop& loop_;
   std::shared_ptr<const Snapshot> snapshot_;
   netsim::Network network_;
-  std::vector<std::unique_ptr<ServerHost>> server_hosts_;
-  std::unordered_map<netsim::IpAddress, ServerHost*, netsim::IpAddressHash>
-      host_map_;
+  crypto::Rng host_rng_;  // fixed parent; never drawn from, only forked
+  std::unordered_map<netsim::IpAddress, std::unique_ptr<ServerHost>,
+                     netsim::IpAddressHash>
+      hosts_;
+  std::optional<netsim::ImpairmentProfile> impairment_;
+  std::optional<AdversaryModel> adversary_;
 };
 
 }  // namespace internet

@@ -75,6 +75,7 @@ void Network::add_tcp_service(const Endpoint& at, TcpService* service) {
 }
 
 void Network::set_link(const IpAddress& host, const LinkProperties& props) {
+  contact(host);
   links_[host] = props;
 }
 
@@ -83,7 +84,8 @@ const LinkProperties& Network::link(const IpAddress& host) const {
   return it == links_.end() ? default_link_ : it->second;
 }
 
-bool Network::tcp_port_open(const Endpoint& at) const {
+bool Network::tcp_port_open(const Endpoint& at) {
+  contact(at.addr);
   return tcp_services_.contains(at) && !link(at.addr).silent;
 }
 
@@ -97,6 +99,7 @@ std::vector<uint8_t> Network::TcpConnection::exchange(
 
 std::optional<Network::TcpConnection> Network::tcp_connect(
     const Endpoint& from, const Endpoint& to) {
+  contact(to.addr);
   auto it = tcp_services_.find(to);
   if (it == tcp_services_.end()) return std::nullopt;
   const auto& props = link(to.addr);
@@ -112,6 +115,7 @@ std::unique_ptr<UdpSocket> Network::open_udp(const Endpoint& local) {
 
 void Network::send_datagram(const Endpoint& from, const Endpoint& to,
                             std::vector<uint8_t> payload) {
+  contact(to.addr);
   ++datagrams_sent_;
   bytes_sent_ += payload.size();
   telemetry::add(metric_datagrams_);

@@ -95,11 +95,21 @@ class Network {
   void remove_udp_service(const Endpoint& at);
   void add_tcp_service(const Endpoint& at, TcpService* service);
 
+  /// For lazily built worlds: the hook runs before the fabric touches
+  /// an address -- a datagram sent to it, a TCP connect or probe, a
+  /// set_link -- so the owner can register the host living there just
+  /// in time. It runs on every such touch, so it must be idempotent and
+  /// cheap for addresses it has already built or does not own.
+  using ContactHook = std::function<void(const IpAddress& addr)>;
+  void set_contact_hook(ContactHook hook) { contact_hook_ = std::move(hook); }
+
   void set_link(const IpAddress& host, const LinkProperties& props);
+  /// The link table as it stands: an address not yet contacted in a
+  /// lazily built world reports the default link.
   const LinkProperties& link(const IpAddress& host) const;
 
   /// True if a TCP listener exists (a SYN scan hit).
-  bool tcp_port_open(const Endpoint& at) const;
+  bool tcp_port_open(const Endpoint& at);
 
   /// Synchronous TCP connect; nullopt when no listener (RST).
   class TcpConnection {
@@ -145,6 +155,9 @@ class Network {
   friend class UdpSocket;
   void deliver(const Endpoint& from, const Endpoint& to,
                std::vector<uint8_t> payload, bool reordered = false);
+  void contact(const IpAddress& addr) {
+    if (contact_hook_) contact_hook_(addr);
+  }
 
   /// Mutable per-link fabric state. The RNG itself is stateless
   /// (counter-based over `seq`); only the Markov loss state and the
@@ -165,6 +178,7 @@ class Network {
   std::unordered_map<IpAddress, ImpairState, IpAddressHash> impair_state_;
   LinkProperties default_link_{};
   Tap tap_;
+  ContactHook contact_hook_;
   uint64_t loss_state_;
   uint64_t impair_seed_;
   uint64_t datagrams_sent_ = 0;

@@ -1,11 +1,16 @@
 // Synthetic-internet model tests: AS registry attribution, the TP
 // catalog invariants the paper states, population structure and weekly
-// evolution rules.
+// evolution rules, and the lazily built world's order independence.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <span>
 
 #include "internet/internet.h"
+#include "report/report.h"
+#include "scanner/qscanner.h"
+#include "telemetry/metrics.h"
 
 namespace {
 
@@ -341,6 +346,108 @@ TEST(InternetFacade, HostLookupMatchesPopulation) {
     EXPECT_EQ(server->profile().id, host.id);
     if (++checked > 200) break;
   }
+}
+
+TEST(InternetFacade, WorldsBuildOnlyTheHostsTheyReach) {
+  netsim::EventLoop loop;
+  Internet internet({.dns_corpus_scale = 0.005}, 18, loop);
+  internet.apply_impairment(*netsim::find_impairment_profile("hostile"));
+  internet.apply_adversary(*find_adversary_profile("malicious"));
+  EXPECT_EQ(internet.hosts_built(), 0u);
+
+  const auto& hosts = internet.population().hosts();
+  ASSERT_GT(hosts.size(), 3u);
+  auto socket = internet.network().open_udp(
+      {netsim::IpAddress::v4(0xc0000202), 40000});
+  socket->send({hosts[0].address, kQuicPort}, {0x00});
+  socket->send({hosts[0].address, kQuicPort}, {0x00});
+  internet.network().tcp_port_open({hosts[1].address, kTlsPort});
+  socket->send({netsim::IpAddress::v4(0x0a0b0c0d), kQuicPort}, {0x00});
+  EXPECT_EQ(internet.hosts_built(), 2u);
+  // Each host gets the stored overlay the moment it is built.
+  EXPECT_TRUE(internet.network().link(hosts[1].address).impaired());
+  EXPECT_FALSE(internet.network().link(hosts[3].address).impaired());
+  // host_for is total over the population: it builds on demand.
+  ASSERT_NE(internet.host_for(hosts[2].address), nullptr);
+  EXPECT_EQ(internet.hosts_built(), 3u);
+  EXPECT_EQ(internet.host_for(netsim::IpAddress::v4(0x0a0b0c0d)), nullptr);
+}
+
+TEST(InternetFacade, HostCreationOrderChangesNoOutput) {
+  // Two worlds over one snapshot, same overlays, one target list
+  // scanned forwards and reversed: the worlds build their hosts in
+  // opposite orders, so any dependence of a host on creation order
+  // (its RNG stream, its overlays) shows up as a differing row or
+  // wire digest.
+  auto snapshot = std::make_shared<const Snapshot>(
+      PopulationParams{.dns_corpus_scale = 0.005}, 18);
+  std::vector<scanner::QscanTarget> targets;
+  const auto& hosts = snapshot->population().hosts();
+  for (size_t i = 0; i < hosts.size(); i += 11) {
+    if (!hosts[i].address.is_v4()) continue;
+    targets.push_back(
+        {hosts[i].address, std::nullopt, hosts[i].advertised_versions});
+  }
+  ASSERT_GT(targets.size(), 100u);
+
+  struct Scan {
+    std::vector<std::string> rows;
+    std::map<std::string, uint64_t> outcomes;
+    // FNV-1a over every datagram to or from each target, in send
+    // order: the server's bytes carry its RNG stream (connection IDs,
+    // randoms, key shares), which the CSV row alone would not show.
+    std::map<netsim::IpAddress, uint64_t> wire;
+  };
+  auto scan = [&](bool reversed) {
+    netsim::EventLoop loop;
+    Internet internet(snapshot, loop);
+    internet.apply_impairment(*netsim::find_impairment_profile("hostile"));
+    internet.apply_adversary(*find_adversary_profile("malicious"));
+    telemetry::MetricsRegistry metrics;
+    Scan out;
+    internet.network().set_tap([&out](const netsim::Endpoint& from,
+                                      const netsim::Endpoint& to,
+                                      std::span<const uint8_t> payload) {
+      const bool inbound = to.port == kQuicPort;
+      uint64_t& h = out.wire
+                        .try_emplace(inbound ? to.addr : from.addr,
+                                     0xcbf29ce484222325ull)
+                        .first->second;
+      auto fold = [&h](uint8_t byte) {
+        h = (h ^ byte) * 0x100000001b3ull;
+      };
+      fold(inbound ? 1 : 2);
+      for (uint8_t byte : payload) fold(byte);
+    });
+    out.rows.resize(targets.size());
+    for (size_t k = 0; k < targets.size(); ++k) {
+      const size_t i = reversed ? targets.size() - 1 - k : k;
+      // A scanner per target, seeded by target index: each target's
+      // attempt entropy is then the same in both scan orders.
+      scanner::QscanOptions options;
+      options.seed = 0x0de7 + i;
+      options.metrics = &metrics;
+      scanner::QScanner qscanner(internet.network(), options);
+      out.rows[i] = report::to_csv_row(
+          report::features_of(qscanner.scan_one(targets[i])));
+    }
+    for (size_t o = 0; o < scanner::kQscanOutcomeCount; ++o) {
+      auto name = scanner::to_string(static_cast<scanner::QscanOutcome>(o));
+      const auto* counter = metrics.find_counter("qscan.outcome." + name);
+      out.outcomes[name] = counter ? counter->value() : 0;
+    }
+    return out;
+  };
+  const Scan forward = scan(false);
+  const Scan backward = scan(true);
+  for (size_t i = 0; i < targets.size(); ++i)
+    EXPECT_EQ(forward.rows[i], backward.rows[i]) << "target " << i;
+  EXPECT_EQ(forward.outcomes, backward.outcomes);
+  EXPECT_EQ(forward.wire, backward.wire);
+  EXPECT_EQ(forward.wire.size(), targets.size());
+  // The overlays must actually bite, or the comparison proves little.
+  const auto success = scanner::to_string(scanner::QscanOutcome::kSuccess);
+  EXPECT_LT(forward.outcomes.at(success), targets.size());
 }
 
 }  // namespace

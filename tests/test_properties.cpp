@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -50,15 +51,23 @@ INSTANTIATE_TEST_SUITE_P(AllCatalogEntries, TpCatalogRoundTrip,
 
 /// --- Packet protection: protect/unprotect inverse over sizes --------
 
+// gtest prints this case as its raw bytes and ctest names the test
+// after them, so the struct has no padding: the four bytes after the
+// version are an explicit zero, not whatever the copy left there.
 struct ProtectCase {
+  ProtectCase(quic::Version v, size_t size) : version(v), payload_size(size) {}
   quic::Version version;
+  std::uint32_t reserved = 0;
   size_t payload_size;
 };
+static_assert(sizeof(ProtectCase) ==
+              sizeof(quic::Version) + sizeof(std::uint32_t) + sizeof(size_t));
 
 class ProtectionSweep : public ::testing::TestWithParam<ProtectCase> {};
 
 TEST_P(ProtectionSweep, UnprotectInvertsProtect) {
-  auto [version, payload_size] = GetParam();
+  const quic::Version version = GetParam().version;
+  const size_t payload_size = GetParam().payload_size;
   crypto::Rng rng(payload_size * 31 + version);
   auto dcid = rng.bytes(8);
   quic::Packet packet;
@@ -201,6 +210,15 @@ struct WildcardCase {
   bool matches;
 };
 
+// Without this, gtest prints the case as raw bytes: the two string
+// addresses (which move with ASLR) and the struct's padding, so the
+// ctest names that gtest_discover_tests derives from it change on
+// every build.
+void PrintTo(const WildcardCase& c, std::ostream* os) {
+  *os << "pattern=" << c.pattern << " host=" << c.host
+      << " match=" << (c.matches ? "true" : "false");
+}
+
 class WildcardSweep : public ::testing::TestWithParam<WildcardCase> {};
 
 TEST_P(WildcardSweep, MatchesExpectation) {
@@ -261,15 +279,21 @@ INSTANTIATE_TEST_SUITE_P(Versions, RetrySweep,
 /// engine") rests on shard_ranges being an exact order-stable
 /// partition for *every* (n, K), so sweep the family.
 
+// Printed as raw bytes into the ctest name, like ProtectCase: the tail
+// that would be padding is an explicit zero.
 struct ShardCase {
   size_t n;
   int jobs;
+  std::int32_t reserved = 0;
 };
+static_assert(sizeof(ShardCase) ==
+              sizeof(size_t) + sizeof(int) + sizeof(std::int32_t));
 
 class ShardPartitionSweep : public ::testing::TestWithParam<ShardCase> {};
 
 TEST_P(ShardPartitionSweep, EveryTargetInExactlyOneShard) {
-  auto [n, jobs] = GetParam();
+  const size_t n = GetParam().n;
+  const int jobs = GetParam().jobs;
   auto ranges = engine::shard_ranges(n, jobs);
   ASSERT_EQ(ranges.size(), static_cast<size_t>(jobs));
 
@@ -301,7 +325,8 @@ TEST_P(ShardPartitionSweep, EveryTargetInExactlyOneShard) {
 }
 
 TEST_P(ShardPartitionSweep, AssignmentIsStable) {
-  auto [n, jobs] = GetParam();
+  const size_t n = GetParam().n;
+  const int jobs = GetParam().jobs;
   // Pure function of (n, jobs): recomputation never reshuffles targets.
   EXPECT_EQ(engine::shard_ranges(n, jobs), engine::shard_ranges(n, jobs));
   for (size_t i = 0; i < n; ++i)

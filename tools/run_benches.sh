@@ -16,7 +16,7 @@
 # moving. BENCH_engine.json carries both the clean scaling sweep and
 # the hostile static-vs-dynamic scheduler section (throughput plus
 # busy-time straggler ratios; micro_engine itself enforces the
-# dynamic >= 1.2x static gate on multi-core hosts).
+# dynamic >= 1.2x static gate on hosts with at least 8 usable CPUs).
 # BENCH_hotpath.json additionally carries the per-crypto-backend
 # aead_seal_cached sweep ("backends": portable / portable_batched /
 # aesni); micro_hotpath enforces three crypto gates before it rewrites
