@@ -3,7 +3,12 @@
 // frames, Initial packet protection and the crypto substrate.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "crypto/aes.h"
+#include "crypto/cpu.h"
 #include "crypto/rng.h"
 #include "crypto/sha256.h"
 #include "internet/tp_catalog.h"
@@ -50,13 +55,49 @@ void BM_TransportParamsDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_TransportParamsDecode)->Arg(0)->Arg(5)->Arg(30);
 
-void BM_Sha256(benchmark::State& state) {
+// SHA-256 and HKDF-Expand-Label once per compression kernel this host
+// can run ("portable", and "shani" where the CPU has SHA-NI), forced
+// through the crypto backend selection as --crypto-backend would:
+// Backend::kPortable pins the portable kernel, any other backend takes
+// SHA-NI. Registered at static initialization, below.
+void BM_Sha256(benchmark::State& state, crypto::Backend backend) {
+  crypto::ScopedBackendOverride force(backend);
   crypto::Rng rng(1);
   auto data = rng.bytes(static_cast<size_t>(state.range(0)));
   for (auto _ : state) benchmark::DoNotOptimize(crypto::Sha256::hash(data));
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1200)->Arg(16384);
+
+// One 16-byte QUIC packet-protection key from a traffic secret whose
+// HMAC midstates are already keyed (tls::derive_traffic_keys shares
+// one such object across key, iv and hp): two compressions per call.
+void BM_HkdfExpandLabel(benchmark::State& state, crypto::Backend backend) {
+  crypto::ScopedBackendOverride force(backend);
+  crypto::Rng rng(7);
+  const crypto::HmacSha256 secret(rng.bytes(crypto::kSha256DigestSize));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        crypto::hkdf_expand_label(secret, "quic key", {}, 16));
+}
+
+const bool kShaBenchmarksRegistered = [] {
+  std::vector<std::pair<crypto::Sha256Kernel, crypto::Backend>> kernels = {
+      {crypto::Sha256Kernel::kPortable, crypto::Backend::kPortable}};
+  if (crypto::sha256_kernel_available(crypto::Sha256Kernel::kShaNi))
+    kernels.push_back(
+        {crypto::Sha256Kernel::kShaNi, crypto::Backend::kPortableBatched});
+  for (auto [kernel, backend] : kernels) {
+    const std::string name = crypto::sha256_kernel_name(kernel);
+    benchmark::RegisterBenchmark(("BM_Sha256/" + name).c_str(), BM_Sha256,
+                                 backend)
+        ->Arg(64)
+        ->Arg(1200)
+        ->Arg(16384);
+    benchmark::RegisterBenchmark(("BM_HkdfExpandLabel/" + name).c_str(),
+                                 BM_HkdfExpandLabel, backend);
+  }
+  return true;
+}();
 
 void BM_AesGcmSeal(benchmark::State& state) {
   crypto::Rng rng(2);

@@ -18,10 +18,17 @@ CpuFeatures probe_cpu() {
   CpuFeatures features;
 #if defined(__x86_64__) || defined(_M_X64)
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  bool ssse3 = false, sse41 = false;
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx)) {
     features.aes = ecx & (1u << 25);     // AES-NI
     features.pclmul = ecx & (1u << 1);   // PCLMULQDQ
+    ssse3 = ecx & (1u << 9);
+    sse41 = ecx & (1u << 19);
   }
+  // SHA extensions: leaf 7 (subleaf 0) EBX bit 29. The SHA-NI kernel
+  // also shuffles and blends with SSSE3/SSE4.1 instructions.
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx))
+    features.sha = (ebx & (1u << 29)) && ssse3 && sse41;
 #elif defined(__aarch64__) && defined(__linux__)
   // HWCAP_AES (1<<3) and HWCAP_PMULL (1<<4) from <asm/hwcap.h>, spelled
   // literally so the probe builds against older libc headers too.
@@ -107,10 +114,16 @@ std::optional<Backend> backend_override() {
 
 Backend resolve_backend() {
   if (auto forced = backend_override()) return *forced;
-  if (const char* env = std::getenv("QREPRO_CRYPTO_BACKEND");
-      env && *env != '\0')
-    return parse_backend(env);
-  return best_backend();
+  // Read once per process: every SHA-256 hasher resolves its kernel
+  // through here, too often for a getenv() scan each time. A bad value
+  // throws, and the throw repeats on every call (the static stays
+  // uninitialized).
+  static const std::optional<Backend> kFromEnv = []() -> std::optional<Backend> {
+    const char* env = std::getenv("QREPRO_CRYPTO_BACKEND");
+    if (env && *env != '\0') return parse_backend(env);
+    return std::nullopt;
+  }();
+  return kFromEnv ? *kFromEnv : best_backend();
 }
 
 }  // namespace crypto

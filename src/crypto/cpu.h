@@ -1,7 +1,8 @@
 // Runtime crypto-backend dispatch: a one-time CPU feature probe plus a
 // process-wide backend selection that Aes128/Aes128Gcm resolve once per
-// context at construction (never per call -- the packet hot path pays
-// zero dispatch overhead in steady state).
+// context, and Sha256 once per hasher, at construction (never per call
+// or per block -- the packet and key-derivation hot paths pay zero
+// dispatch overhead in steady state).
 //
 // Backends:
 //   kPortable        the original table-based scalar kernels, one
@@ -16,16 +17,23 @@
 //                    translation unit with per-file ISA flags and only
 //                    selected when CPUID reports both AES and PCLMUL.
 //
-// AES-GCM is deterministic, so ciphertext and tags are backend-
-// invariant by construction: forcing any backend changes wall-clock
-// only, never a single output byte (tests/test_crypto and the engine
-// differential battery hold every backend to that).
+// SHA-256 follows the same selection without a Backend value of its
+// own (crypto/sha256.h): Backend::kPortable also forces the portable
+// SHA-256 compression, and every other backend uses the SHA-NI kernel
+// (crypto/sha256_ni.cpp) where CpuFeatures::sha is set. backend_name()
+// therefore still names only the AES-GCM kernel.
+//
+// AES-GCM and SHA-256 are deterministic, so ciphertext, tags and
+// digests are backend-invariant by construction: forcing any backend
+// changes wall-clock only, never a single output byte (tests/test_crypto
+// and the engine differential battery hold every backend to that).
 //
 // Selection order: API override (set_backend_override, the CLIs'
 // --crypto-backend) > QREPRO_CRYPTO_BACKEND environment variable >
-// best_backend() hardware probe. Requesting an unavailable or unknown
-// backend throws std::invalid_argument -- an A/B run that silently
-// fell back to another backend would be measuring nothing.
+// best_backend() hardware probe. The environment variable is read once
+// per process. Requesting an unavailable or unknown backend throws
+// std::invalid_argument -- an A/B run that silently fell back to
+// another backend would be measuring nothing.
 #pragma once
 
 #include <optional>
@@ -42,10 +50,13 @@ enum class Backend {
 /// Result of the one-time hardware probe (CPUID on x86-64, getauxval
 /// on AArch64; all-false elsewhere). `aes`/`pclmul` report the x86
 /// AES-NI and PCLMULQDQ bits or their AArch64 crypto-extension
-/// equivalents (AES/PMULL).
+/// equivalents (AES/PMULL). `sha` reports the x86 SHA extensions
+/// (CPUID leaf 7 EBX bit 29) together with SSSE3 and SSE4.1, which the
+/// SHA-NI kernel also needs; it is x86-only, as that kernel is.
 struct CpuFeatures {
   bool aes = false;
   bool pclmul = false;
+  bool sha = false;
 };
 
 /// Cached hardware probe; the first call runs CPUID/getauxval.
@@ -75,7 +86,8 @@ std::optional<Backend> backend_override();
 /// The backend a context constructed right now would use:
 /// override > QREPRO_CRYPTO_BACKEND > best_backend(). Throws
 /// std::invalid_argument when the environment names an unknown or
-/// unavailable backend (loudly, on first AEAD construction).
+/// unavailable backend (loudly, on the first AEAD or SHA-256
+/// construction, and again on every later one).
 Backend resolve_backend();
 
 /// RAII override for tests: forces `backend` for the scope's lifetime

@@ -208,10 +208,10 @@ void ClientConnection::send_initial_flight() {
   handshake_crypto_.clear();
   pn_initial_ = pn_handshake_ = pn_app_ = 0;
 
-  initial_tx_ =
-      PacketProtector::for_initial(config_.version, dcid_, /*is_server=*/false);
-  initial_rx_ =
-      PacketProtector::for_initial(config_.version, dcid_, /*is_server=*/true);
+  auto initial =
+      PacketProtector::initial_pair(config_.version, dcid_, /*is_server=*/false);
+  initial_tx_ = std::move(initial.tx);
+  initial_rx_ = std::move(initial.rx);
   initial_tx_->set_stats(&hotpath_stats_);
   initial_rx_->set_stats(&hotpath_stats_);
   handshake_tx_.reset();
@@ -879,10 +879,10 @@ void ServerConnection::on_datagram(std::span<const uint8_t> datagram) {
     version_ = info->version;
     client_dcid_ = info->dcid;
     client_scid_ = info->scid;
-    initial_rx_ = PacketProtector::for_initial(version_, client_dcid_,
-                                               /*is_server=*/false);
-    initial_tx_ = PacketProtector::for_initial(version_, client_dcid_,
-                                               /*is_server=*/true);
+    auto initial = PacketProtector::initial_pair(version_, client_dcid_,
+                                                 /*is_server=*/true);
+    initial_tx_ = std::move(initial.tx);
+    initial_rx_ = std::move(initial.rx);
     initial_rx_->set_stats(&hotpath_stats_);
     initial_tx_->set_stats(&hotpath_stats_);
     size_t offset = 0;

@@ -101,6 +101,8 @@ struct HotpathStats {
   uint64_t undecryptable = 0;
 };
 
+struct InitialProtectors;
+
 /// Seals/opens packets for one direction of one encryption level.
 ///
 /// Construction derives the AES key schedules and the GHASH table once;
@@ -111,10 +113,19 @@ class PacketProtector {
  public:
   explicit PacketProtector(const tls::TrafficKeys& keys);
 
-  /// Convenience: Initial-level protector.
+  /// Convenience: Initial-level protector for the direction `is_server`
+  /// sends in.
   static PacketProtector for_initial(Version version,
                                      std::span<const uint8_t> client_dcid,
                                      bool is_server);
+
+  /// Both Initial-level protectors of one side (tx: the direction it
+  /// sends in, rx: the one it receives), from a single
+  /// derive_initial_secrets -- what a connection needs, at half the
+  /// cost of two for_initial calls.
+  static InitialProtectors initial_pair(Version version,
+                                        std::span<const uint8_t> client_dcid,
+                                        bool is_server);
 
   /// Points hot-path accounting at `stats` (may be nullptr to detach).
   void set_stats(HotpathStats* stats) { stats_ = stats; }
@@ -156,6 +167,11 @@ class PacketProtector {
   mutable bool aead_used_ = false;
   // Unmasked-header copy reused across unprotect calls (the AEAD's AAD).
   mutable std::vector<uint8_t> scratch_header_;
+};
+
+struct InitialProtectors {
+  PacketProtector tx;
+  PacketProtector rx;
 };
 
 inline constexpr size_t kMinInitialDatagramSize = 1200;  // RFC 9000 s. 14.1

@@ -4,8 +4,33 @@
 
 namespace tls {
 
-TrafficKeys derive_traffic_keys(std::span<const uint8_t> secret,
+namespace {
+
+// Constants of the SHA-256 suites' schedule, keyed once per process.
+const crypto::Sha256Digest& empty_hash() {
+  static const crypto::Sha256Digest kEmptyHash = crypto::Sha256::hash({});
+  return kEmptyHash;
+}
+
+const std::array<uint8_t, crypto::kSha256DigestSize> kZeros{};
+
+// Derive-Secret(early_secret, "derived", "") with early_secret =
+// Extract(salt=0, ikm=0^32), as the HMAC key (the salt) of the
+// handshake-secret Extract. Without a PSK both are constants.
+const crypto::HmacSha256& early_derived_key() {
+  static const crypto::HmacSha256 kKey = [] {
+    auto early = crypto::hkdf_extract({}, kZeros);
+    return crypto::HmacSha256(crypto::hkdf_expand_label(
+        early, "derived", empty_hash(), crypto::kSha256DigestSize));
+  }();
+  return kKey;
+}
+
+}  // namespace
+
+TrafficKeys derive_traffic_keys(std::span<const uint8_t> traffic_secret,
                                 KeyUsage usage) {
+  const crypto::HmacSha256 secret(traffic_secret);
   TrafficKeys keys;
   if (usage == KeyUsage::kQuic) {
     keys.key = crypto::hkdf_expand_label(secret, "quic key", {}, 16);
@@ -34,32 +59,24 @@ crypto::Sha256Digest KeySchedule::transcript_hash() const { return snapshot(); }
 
 void KeySchedule::derive_handshake_secrets(
     std::span<const uint8_t> shared_secret) {
-  // early_secret = Extract(salt=0, ikm=0^32)
-  std::vector<uint8_t> zeros(crypto::kSha256DigestSize, 0);
-  auto early = crypto::hkdf_extract({}, zeros);
-  auto empty_hash = crypto::Sha256::hash({});
-  auto derived = crypto::hkdf_expand_label(early, "derived", empty_hash,
-                                           crypto::kSha256DigestSize);
-  auto hs = crypto::hkdf_extract(derived, shared_secret);
-  handshake_secret_.assign(hs.begin(), hs.end());
+  // handshake_secret = Extract(salt=derived, ikm=shared_secret)
+  handshake_secret_.emplace(early_derived_key().mac(shared_secret));
 
   auto th = snapshot();
-  client_hs_ = crypto::hkdf_expand_label(handshake_secret_, "c hs traffic", th,
-                                         crypto::kSha256DigestSize);
-  server_hs_ = crypto::hkdf_expand_label(handshake_secret_, "s hs traffic", th,
-                                         crypto::kSha256DigestSize);
+  client_hs_ = crypto::hkdf_expand_label(*handshake_secret_, "c hs traffic",
+                                         th, crypto::kSha256DigestSize);
+  server_hs_ = crypto::hkdf_expand_label(*handshake_secret_, "s hs traffic",
+                                         th, crypto::kSha256DigestSize);
 }
 
 void KeySchedule::derive_application_secrets() {
-  if (handshake_secret_.empty())
+  if (!handshake_secret_)
     throw std::logic_error(
         "derive_application_secrets before derive_handshake_secrets");
-  auto empty_hash = crypto::Sha256::hash({});
-  auto derived = crypto::hkdf_expand_label(handshake_secret_, "derived",
-                                           empty_hash,
+  auto derived = crypto::hkdf_expand_label(*handshake_secret_, "derived",
+                                           empty_hash(),
                                            crypto::kSha256DigestSize);
-  std::vector<uint8_t> zeros(crypto::kSha256DigestSize, 0);
-  auto master = crypto::hkdf_extract(derived, zeros);
+  crypto::HmacSha256 master(crypto::hkdf_extract(derived, kZeros));
 
   auto th = snapshot();
   client_app_ = crypto::hkdf_expand_label(master, "c ap traffic", th,

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -20,7 +21,8 @@ struct TrafficKeys {
 
 enum class KeyUsage { kTls, kQuic };
 
-/// Derives key/iv (and hp for QUIC) from a traffic secret.
+/// Derives key/iv (and hp for QUIC) from a traffic secret, keying the
+/// secret's HMAC midstates once for all of them.
 TrafficKeys derive_traffic_keys(std::span<const uint8_t> secret,
                                 KeyUsage usage);
 
@@ -66,7 +68,9 @@ class KeySchedule {
   crypto::Sha256 transcript_;
   crypto::Sha256Digest snapshot() const;
 
-  std::vector<uint8_t> handshake_secret_;
+  // The handshake secret as an HMAC key: both handshake traffic
+  // secrets and the "derived" step towards the master secret reuse it.
+  std::optional<crypto::HmacSha256> handshake_secret_;
   std::vector<uint8_t> client_hs_, server_hs_;
   std::vector<uint8_t> client_app_, server_app_;
 };

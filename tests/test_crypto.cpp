@@ -2,7 +2,10 @@
 // RFC 4231 (HMAC), RFC 5869 (HKDF), FIPS 197 (AES), NIST GCM vectors.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "crypto/aes.h"
+#include "crypto/cpu.h"
 #include "crypto/dh.h"
 #include "crypto/rng.h"
 #include "crypto/sha256.h"
@@ -489,6 +492,292 @@ TEST(CryptoCpu, ParseBackendNamesAndOverride) {
     EXPECT_EQ(crypto::resolve_backend(), backend);
   }
   EXPECT_FALSE(crypto::backend_override().has_value());
+}
+
+// ---------------------------------------------------------------------------
+// SHA-256 kernel battery: the hash KATs above, plus HMAC and HKDF built
+// on them, under every compression kernel this host can run (portable,
+// and SHA-NI where the CPU has it). A kernel is forced the way the CLIs
+// force one: through the crypto backend selection, where
+// Backend::kPortable pins the portable compression and any other
+// backend takes SHA-NI when it is available.
+
+std::vector<std::pair<crypto::Backend, crypto::Sha256Kernel>>
+available_sha_kernels() {
+  std::vector<std::pair<crypto::Backend, crypto::Sha256Kernel>> kernels = {
+      {crypto::Backend::kPortable, crypto::Sha256Kernel::kPortable}};
+  if (crypto::sha256_kernel_available(crypto::Sha256Kernel::kShaNi))
+    kernels.push_back(
+        {crypto::Backend::kPortableBatched, crypto::Sha256Kernel::kShaNi});
+  return kernels;
+}
+
+TEST(Sha256Kernels, HasherResolvesForcedKernel) {
+  EXPECT_TRUE(crypto::sha256_kernel_available(crypto::Sha256Kernel::kPortable));
+  if (crypto::sha256_kernel_available(crypto::Sha256Kernel::kShaNi)) {
+    EXPECT_TRUE(crypto::cpu_features().sha);
+  }
+  for (crypto::Backend backend : available_backends()) {
+    crypto::ScopedBackendOverride force(backend);
+    SCOPED_TRACE(crypto::backend_name(backend));
+    const auto expected =
+        backend != crypto::Backend::kPortable &&
+                crypto::sha256_kernel_available(crypto::Sha256Kernel::kShaNi)
+            ? crypto::Sha256Kernel::kShaNi
+            : crypto::Sha256Kernel::kPortable;
+    EXPECT_EQ(crypto::resolve_sha256_kernel(), expected);
+    EXPECT_EQ(crypto::Sha256().kernel(), expected);
+    EXPECT_EQ(crypto::HmacSha256(str_bytes("key")).begin().kernel(), expected);
+  }
+  // A hasher keeps the kernel it resolved; copies inherit it.
+  crypto::Sha256 portable = [] {
+    crypto::ScopedBackendOverride force(crypto::Backend::kPortable);
+    return crypto::Sha256();
+  }();
+  crypto::Sha256 copy = portable;
+  EXPECT_EQ(copy.kernel(), crypto::Sha256Kernel::kPortable);
+  EXPECT_STREQ(crypto::sha256_kernel_name(crypto::Sha256Kernel::kPortable),
+               "portable");
+  EXPECT_STREQ(crypto::sha256_kernel_name(crypto::Sha256Kernel::kShaNi),
+               "shani");
+}
+
+TEST(Sha256Kernels, Fips180Kats) {
+  const std::pair<std::string, const char*> kKats[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      // The padding edges of final(), as 'a' * n: 55 (0x80 and the
+      // length fill one block exactly), 56 and 63 (the padding spills
+      // into a second block), 64 (an empty tail), 119 and 120 (the same
+      // edges one block later).
+      {std::string(55, 'a'),
+       "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {std::string(56, 'a'),
+       "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {std::string(63, 'a'),
+       "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {std::string(64, 'a'),
+       "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {std::string(119, 'a'),
+       "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {std::string(120, 'a'),
+       "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (auto [backend, kernel] : available_sha_kernels()) {
+    crypto::ScopedBackendOverride force(backend);
+    SCOPED_TRACE(crypto::sha256_kernel_name(kernel));
+    for (const auto& [input, digest] : kKats)
+      EXPECT_EQ(to_hex(crypto::Sha256::hash(str_bytes(input))), digest);
+    crypto::Sha256 h;
+    ASSERT_EQ(h.kernel(), kernel);
+    std::vector<uint8_t> chunk(1000, 'a');
+    for (int i = 0; i < 1000; ++i) h.update(chunk);
+    EXPECT_EQ(to_hex(h.final()),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  }
+}
+
+TEST(Sha256Kernels, Rfc4231HmacKats) {
+  struct Kat {
+    std::vector<uint8_t> key;
+    std::string data;
+    const char* mac;
+  };
+  const Kat kKats[] = {
+      {std::vector<uint8_t>(20, 0x0b), "Hi There",
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {str_bytes("Jefe"), "what do ya want for nothing?",
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {std::vector<uint8_t>(131, 0xaa),
+       "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {std::vector<uint8_t>(131, 0xaa),
+       "This is a test using a larger than block-size key and a larger "
+       "than block-size data. The key needs to be hashed before being used "
+       "by the HMAC algorithm.",
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+  for (auto [backend, kernel] : available_sha_kernels()) {
+    crypto::ScopedBackendOverride force(backend);
+    SCOPED_TRACE(crypto::sha256_kernel_name(kernel));
+    for (const auto& kat : kKats) {
+      crypto::HmacSha256 key(kat.key);
+      ASSERT_EQ(key.begin().kernel(), kernel);
+      EXPECT_EQ(to_hex(key.mac(str_bytes(kat.data))), kat.mac);
+      EXPECT_EQ(to_hex(crypto::hmac_sha256(kat.key, str_bytes(kat.data))),
+                kat.mac);
+    }
+  }
+}
+
+TEST(Sha256Kernels, Rfc5869HkdfKats) {
+  std::vector<uint8_t> ikm2(80), salt2(80), info2(80);
+  for (size_t i = 0; i < 80; ++i) {
+    ikm2[i] = static_cast<uint8_t>(i);
+    salt2[i] = static_cast<uint8_t>(0x60 + i);
+    info2[i] = static_cast<uint8_t>(0xb0 + i);
+  }
+  for (auto [backend, kernel] : available_sha_kernels()) {
+    crypto::ScopedBackendOverride force(backend);
+    SCOPED_TRACE(crypto::sha256_kernel_name(kernel));
+    // Case 1: basic.
+    auto prk = crypto::hkdf_extract(from_hex("000102030405060708090a0b0c"),
+                                    std::vector<uint8_t>(22, 0x0b));
+    EXPECT_EQ(to_hex(prk),
+              "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5");
+    EXPECT_EQ(to_hex(crypto::hkdf_expand(prk, from_hex("f0f1f2f3f4f5f6f7f8f9"),
+                                         42)),
+              "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
+              "34007208d5b887185865");
+    // Case 2: 80-byte inputs, L = 82 -- three output blocks, each
+    // chaining the previous T into the next HMAC.
+    prk = crypto::hkdf_extract(salt2, ikm2);
+    EXPECT_EQ(to_hex(prk),
+              "06a6b88c5853361a06104c9ceb35b45cef760014904671014a193f40c15fc244");
+    const char* kOkm2 =
+        "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c"
+        "59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71"
+        "cc30c58179ec3e87c14c01d5c1f3434f1d87";
+    EXPECT_EQ(to_hex(crypto::hkdf_expand(prk, info2, 82)), kOkm2);
+    EXPECT_EQ(to_hex(crypto::hkdf_expand(crypto::HmacSha256(prk), info2, 82)),
+              kOkm2);
+    // Case 3: zero-length salt and info.
+    prk = crypto::hkdf_extract({}, std::vector<uint8_t>(22, 0x0b));
+    EXPECT_EQ(to_hex(crypto::hkdf_expand(prk, {}, 42)),
+              "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+              "9d201395faa4b61a96c8");
+    // RFC 9001 A.1: HKDF-Expand-Label through a shared key object.
+    crypto::HmacSha256 initial(crypto::hkdf_extract(
+        from_hex("38762cf7f55934b34d179ae6a4c80cadccbb7f0a"),
+        from_hex("8394c8f03e515708")));
+    auto client = crypto::hkdf_expand_label(initial, "client in", {}, 32);
+    EXPECT_EQ(to_hex(client),
+              "c00cf151ca5be075ed0ebfb5c80323c42d6b7db67881289af4008f1f6c357aea");
+    crypto::HmacSha256 client_key(client);
+    EXPECT_EQ(to_hex(crypto::hkdf_expand_label(client_key, "quic key", {}, 16)),
+              "1f369613dd76d5467730efcbe3b1a22d");
+    EXPECT_EQ(to_hex(crypto::hkdf_expand_label(client_key, "quic iv", {}, 12)),
+              "fa044b2f42a3fd3b46fb255c");
+    EXPECT_EQ(to_hex(crypto::hkdf_expand_label(client_key, "quic hp", {}, 16)),
+              "9f50449e04a0e810283a1e9933adedd2");
+  }
+}
+
+TEST(Sha256Kernels, RandomizedDifferentialPortableVsShaNi) {
+  if (!crypto::sha256_kernel_available(crypto::Sha256Kernel::kShaNi))
+    GTEST_SKIP() << "no SHA-NI on this host";
+  crypto::Rng rng(0x5a256);
+  auto data = rng.bytes(300);
+  // Hashes data[0..len) in 1 + rng.below(4) updates at random split
+  // points under the kernel `backend` selects.
+  auto hash_split = [&](crypto::Backend backend, size_t len) {
+    crypto::ScopedBackendOverride force(backend);
+    crypto::Sha256 h;
+    size_t done = 0;
+    for (uint64_t parts = rng.below(4); parts > 0 && done < len; --parts) {
+      size_t take = static_cast<size_t>(rng.below(len - done + 1));
+      h.update({data.data() + done, take});
+      done += take;
+    }
+    h.update({data.data() + done, len - done});
+    return h.final();
+  };
+  // Every length 0..300 covers each padding edge of final() (55, 56,
+  // 63, 64, 119, 120; Fips180Kats pins those digests independently).
+  for (size_t len = 0; len <= data.size(); ++len) {
+    SCOPED_TRACE(len);
+    const auto portable = hash_split(crypto::Backend::kPortable, len);
+    for (int round = 0; round < 4; ++round) {
+      EXPECT_EQ(hash_split(crypto::Backend::kPortableBatched, len), portable);
+      EXPECT_EQ(hash_split(crypto::Backend::kPortable, len), portable);
+    }
+  }
+}
+
+// RFC 2104 written out from the definition, over one-shot hashes:
+// H((K' ^ opad) || H((K' ^ ipad) || m)), K' = H(K) when K exceeds the
+// block, zero-padded to 64 bytes.
+crypto::Sha256Digest reference_hmac(std::vector<uint8_t> key,
+                                    const std::vector<uint8_t>& message) {
+  if (key.size() > 64) {
+    auto digest = crypto::Sha256::hash(key);
+    key.assign(digest.begin(), digest.end());
+  }
+  key.resize(64, 0);
+  std::vector<uint8_t> inner(64), outer(64);
+  for (size_t i = 0; i < 64; ++i) {
+    inner[i] = key[i] ^ 0x36;
+    outer[i] = key[i] ^ 0x5c;
+  }
+  inner.insert(inner.end(), message.begin(), message.end());
+  auto inner_digest = crypto::Sha256::hash(inner);
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return crypto::Sha256::hash(outer);
+}
+
+TEST(HmacSha256, KeyObjectMatchesFromScratchRfc2104) {
+  crypto::Rng rng(0x2104);
+  for (auto [backend, kernel] : available_sha_kernels()) {
+    crypto::ScopedBackendOverride force(backend);
+    SCOPED_TRACE(crypto::sha256_kernel_name(kernel));
+    for (size_t key_len : {0u, 1u, 32u, 64u, 65u, 200u}) {
+      SCOPED_TRACE(key_len);
+      auto key = rng.bytes(key_len);
+      crypto::HmacSha256 mac(key);
+      for (size_t msg_len : {0u, 1u, 31u, 55u, 56u, 64u, 200u}) {
+        auto message = rng.bytes(msg_len);
+        const auto expected = reference_hmac(key, message);
+        EXPECT_EQ(mac.mac(message), expected) << "msg_len=" << msg_len;
+        EXPECT_EQ(crypto::hmac_sha256(key, message), expected);
+        // Multi-part: the same MAC fed in two pieces.
+        crypto::Sha256 parts = mac.begin();
+        parts.update({message.data(), msg_len / 2});
+        parts.update({message.data() + msg_len / 2, msg_len - msg_len / 2});
+        EXPECT_EQ(mac.finish(parts), expected);
+      }
+    }
+  }
+}
+
+TEST(HmacSha256, CopiesDoNotShareState) {
+  auto key_a = str_bytes("key a");
+  auto key_b = str_bytes("another key, b");
+  auto message = str_bytes("message");
+  crypto::HmacSha256 a(key_a);
+  crypto::HmacSha256 copy = a;
+  a = crypto::HmacSha256(key_b);  // rekeying the original leaves the copy
+  EXPECT_EQ(copy.mac(message), reference_hmac(key_a, message));
+  EXPECT_EQ(a.mac(message), reference_hmac(key_b, message));
+  // Hashers begun from one key object are independent of each other and
+  // of later MACs on it.
+  crypto::Sha256 first = copy.begin();
+  crypto::Sha256 second = copy.begin();
+  first.update(str_bytes("mess"));
+  EXPECT_EQ(copy.mac(message), reference_hmac(key_a, message));
+  second.update(message);
+  first.update(str_bytes("age"));
+  EXPECT_EQ(copy.finish(first), reference_hmac(key_a, message));
+  EXPECT_EQ(copy.finish(second), reference_hmac(key_a, message));
+}
+
+TEST(Sha256Kernels, CompressionCounterCountsBlocks) {
+  const uint64_t start = crypto::sha256_compressions();
+  crypto::Sha256::hash(std::vector<uint8_t>(55, 1));  // 1 block
+  EXPECT_EQ(crypto::sha256_compressions() - start, 1u);
+  crypto::Sha256::hash(std::vector<uint8_t>(56, 1));  // padding spills: 2
+  EXPECT_EQ(crypto::sha256_compressions() - start, 3u);
+  crypto::Sha256::hash(std::vector<uint8_t>(200, 1));  // 3 whole + 1
+  EXPECT_EQ(crypto::sha256_compressions() - start, 7u);
+  // A key object pays its two pad blocks once; each short MAC then
+  // costs one inner and one outer compression.
+  crypto::HmacSha256 key(str_bytes("key"));
+  EXPECT_EQ(crypto::sha256_compressions() - start, 9u);
+  key.mac(str_bytes("short"));
+  key.mac(str_bytes("short"));
+  EXPECT_EQ(crypto::sha256_compressions() - start, 13u);
 }
 
 }  // namespace
